@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "core/task.h"
+#include "core/task_graph.h"
+#include "pipeline/dag_runtime.h"
 #include "pipeline/pipeline_runtime.h"
 #include "pipeline/trace.h"
 #include "sim/simulator.h"
@@ -141,6 +143,37 @@ TEST(TraceRuntimeTest, MissAndShedAreRecorded) {
   const auto done = log.for_task(1);
   EXPECT_EQ(done.back().kind, TraceEventKind::kComplete);
   EXPECT_EQ(done.back().detail, 1u);  // missed
+}
+
+TEST(TraceRuntimeTest, DagAbortRecordsShed) {
+  sim::Simulator sim;
+  DagRuntime runtime(sim, 2, nullptr);
+  TraceLog log;
+  runtime.set_trace(&log);
+
+  core::GraphTaskSpec spec;
+  spec.id = 7;
+  spec.deadline = 10.0;
+  spec.nodes.resize(2);
+  spec.nodes[0].resource = 0;
+  spec.nodes[0].demand.compute = 1.0;
+  spec.nodes[1].resource = 1;
+  spec.nodes[1].demand.compute = 1.0;
+  spec.edges.push_back({0, 1});
+
+  sim.at(0.0, [&] { runtime.start_task(spec, 10.0); });
+  sim.at(0.5, [&] {
+    ASSERT_TRUE(runtime.task_started_executing(7));
+    runtime.abort_task(7);
+  });
+  sim.run();
+
+  EXPECT_EQ(log.count(TraceEventKind::kShed), 1u);
+  const auto events = log.for_task(7);
+  ASSERT_EQ(events.size(), 2u);  // release, shed
+  EXPECT_EQ(events[1].kind, TraceEventKind::kShed);
+  EXPECT_DOUBLE_EQ(events[1].time, 0.5);
+  EXPECT_EQ(runtime.aborted(), 1u);
 }
 
 }  // namespace
