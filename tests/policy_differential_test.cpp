@@ -17,8 +17,10 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <type_traits>
 #include <vector>
 
+#include "callback_listener.h"
 #include "metrics/utilization_meter.h"
 #include "sched/job.h"
 #include "sched/pcp.h"
@@ -269,14 +271,23 @@ struct Observed {
 template <typename Server>
 Observed run_script(const Script& s) {
   sim::Simulator sim;
+  CallbackListener listener;
   Server server(sim, "diff");
   Observed out;
   server.set_timeline(&out.timeline);
-  server.set_on_complete([&](Job& j) {
+  auto on_complete = [&](Job& j) {
     out.completion_ids.push_back(j.id);
     out.completion_times.push_back(sim.now());
-  });
-  server.set_on_idle([&] { out.idle_times.push_back(sim.now()); });
+  };
+  auto on_idle = [&] { out.idle_times.push_back(sim.now()); };
+  if constexpr (std::is_base_of_v<StageExecutor, Server>) {
+    listener.on_complete = on_complete;
+    listener.on_idle = on_idle;
+    server.set_listener(&listener);
+  } else {
+    server.set_on_complete(on_complete);
+    server.set_on_idle(on_idle);
+  }
 
   std::vector<std::unique_ptr<Job>> jobs;
   jobs.reserve(s.jobs.size());
@@ -331,62 +342,6 @@ TEST(PolicyDifferentialTest, DefaultPolicyBitIdenticalToLegacyOver1kSeeds) {
     const Observed fresh = run_script<StageServer>(s);
     expect_identical(legacy, fresh, seed);
     if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-// The pre-redesign executor took callbacks through std::function setters;
-// the frozen copy and the deprecated shims must agree too (the shims are
-// what keeps one-PR-migration callers compiling).
-TEST(PolicyDifferentialTest, LegacyShimsMatchTypedListenerPath) {
-  const Script s = make_script(424242);
-  const Observed via_shims = run_script<StageServer>(s);
-
-  // Same script, typed listener instead of the shims.
-  sim::Simulator sim;
-  StageServer server(sim, "typed");
-  struct Recorder : StageListener {
-    std::vector<std::uint64_t> ids;
-    std::vector<Time> times;
-    std::vector<Time> idles;
-    sim::Simulator* sim = nullptr;
-    void on_job_complete(StageExecutor&, Job& j) override {
-      ids.push_back(j.id);
-      times.push_back(sim->now());
-    }
-    void on_stage_idle(StageExecutor&) override {
-      idles.push_back(sim->now());
-    }
-  } recorder;
-  recorder.sim = &sim;
-  server.set_listener(&recorder);
-  Timeline timeline;
-  server.set_timeline(&timeline);
-
-  std::vector<std::unique_ptr<Job>> jobs;
-  for (std::size_t i = 0; i < s.jobs.size(); ++i) {
-    jobs.push_back(std::make_unique<Job>(static_cast<std::uint64_t>(i + 1),
-                                         s.jobs[i].priority,
-                                         s.jobs[i].segments));
-    Job* job = jobs.back().get();
-    sim.at(s.jobs[i].submit_at, [&server, job] { server.submit(*job); });
-  }
-  if (s.has_abort) {
-    Job* victim = jobs[s.abort_index].get();
-    sim.at(s.abort_at, [&server, victim] { server.abort(*victim); });
-  }
-  if (s.has_speed_change) {
-    sim.at(s.speed_change_at,
-           [&server, &s] { server.set_speed(s.new_speed); });
-  }
-  sim.run();
-
-  EXPECT_EQ(recorder.ids, via_shims.completion_ids);
-  EXPECT_EQ(recorder.times, via_shims.completion_times);
-  EXPECT_EQ(recorder.idles, via_shims.idle_times);
-  ASSERT_EQ(timeline.size(), via_shims.timeline.size());
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    EXPECT_EQ(timeline[i].start, via_shims.timeline[i].start);
-    EXPECT_EQ(timeline[i].end, via_shims.timeline[i].end);
   }
 }
 
