@@ -81,7 +81,7 @@ void prefill_near_boundary(core::AdmissionController& controller,
   fill.deadline = 1.0;
   fill.stages.resize(stages);
   for (auto& s : fill.stages) s.compute = 0.94 * cap;
-  const auto d = controller.try_admit(fill);
+  const auto d = controller.try_admit(fill, controller.now());
   if (!d.admitted) std::abort();  // scenario must start inside the region
 }
 
@@ -93,7 +93,7 @@ void AdmissionVsStages(benchmark::State& state) {
       sim, tracker, core::FeasibleRegion::deadline_monotonic(stages));
   // Populate with 1000 live tasks.
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    (void)controller.try_admit(tiny_task(i + 1, stages));
+    (void)controller.try_admit(tiny_task(i + 1, stages), sim.now());
   }
   // The probe saturates a stage so it is always REJECTED: the full O(N)
   // region evaluation runs but nothing is committed, keeping the measured
@@ -104,7 +104,7 @@ void AdmissionVsStages(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = probe;
     spec.id = id++;
-    benchmark::DoNotOptimize(controller.try_admit(spec));
+    benchmark::DoNotOptimize(controller.try_admit(spec, sim.now()));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -118,7 +118,7 @@ void AdmissionVsTasks(benchmark::State& state) {
       sim, tracker, core::FeasibleRegion::deadline_monotonic(stages));
   const auto live = static_cast<std::uint64_t>(state.range(0));
   for (std::uint64_t i = 0; i < live; ++i) {
-    (void)controller.try_admit(tiny_task(i + 1, stages));
+    (void)controller.try_admit(tiny_task(i + 1, stages), sim.now());
   }
   auto probe = tiny_task(0, stages);
   probe.stages[0].compute = 2.0;  // always rejected; state stays constant
@@ -126,7 +126,7 @@ void AdmissionVsTasks(benchmark::State& state) {
   for (auto _ : state) {
     auto spec = probe;
     spec.id = id++;
-    benchmark::DoNotOptimize(controller.try_admit(spec));
+    benchmark::DoNotOptimize(controller.try_admit(spec, sim.now()));
   }
   // The point: time here must NOT grow with `live`.
 }
@@ -163,7 +163,7 @@ void AdmissionFastPath(benchmark::State& state) {
   prefill_near_boundary(controller, kSweepStages);
   const auto probe = sparse_task(2, kSweepStages, kProbeCompute);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.try_admit(probe));
+    benchmark::DoNotOptimize(controller.try_admit(probe, sim.now()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

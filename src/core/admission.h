@@ -96,11 +96,6 @@ class AdmissionController : public Admitter {
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
                                             Time now) override;
 
-  // Deprecated shim: forwards the simulator clock as the arrival instant.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec) {
-    return try_admit(spec, sim_.now());
-  }
-
   // try_admit with the ADMIT reason overridden: identical test, commit,
   // audit, and trace, but an admitted decision carries (and is traced with)
   // `admit_reason` instead of kAdmitted. The sharded service's atomic fast
@@ -311,11 +306,6 @@ class SheddingAdmissionController : public Admitter {
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
                                             Time now) override;
 
-  // Deprecated shim: forwards the simulator clock as the arrival instant.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec) {
-    return try_admit(spec, inner_.now());
-  }
-
   std::uint64_t tasks_shed() const { return tasks_shed_; }
 
  private:
@@ -353,11 +343,6 @@ class GraphAdmissionController : public Admitter {
                                             Time now);
   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
                                             Time now) override;
-
-  // Deprecated shims: forward the simulator clock as the arrival instant.
-  [[nodiscard]] AdmissionDecision try_admit(const GraphTaskSpec& spec) {
-    return try_admit(spec, sim_.now());
-  }
 
   [[nodiscard]] bool long_path() const { return long_path_.has_value(); }
   LongPathEvaluator* long_path_evaluator() {

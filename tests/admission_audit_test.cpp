@@ -96,8 +96,8 @@ TEST(AdmissionAuditTest, ControllerFeedsAudit) {
   AdmissionAudit audit;
   controller.set_audit(&audit);
 
-  (void)controller.try_admit(make_task(1, 1.0, {0.1, 0.1}));  // in
-  (void)controller.try_admit(make_task(2, 1.0, {0.6, 0.6}));  // out
+  (void)controller.try_admit(make_task(1, 1.0, {0.1, 0.1}), sim.now());  // in
+  (void)controller.try_admit(make_task(2, 1.0, {0.6, 0.6}), sim.now());  // out
   ASSERT_EQ(audit.size(), 2u);
   EXPECT_TRUE(audit[0].admitted);
   EXPECT_EQ(audit[0].task_id, 1u);

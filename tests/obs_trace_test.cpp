@@ -350,8 +350,8 @@ TEST(ObsDifferentialTest, TracingNeverChangesADecisionOver12kArrivals) {
     plain.sim.run_until(t);
     clock.advance(37);  // latency samples stay deterministic
 
-    const auto dt = traced.controller.try_admit(spec);
-    const auto dp = plain.controller.try_admit(spec);
+    const auto dt = traced.controller.try_admit(spec, traced.sim.now());
+    const auto dp = plain.controller.try_admit(spec, plain.sim.now());
 
     // Bit-identical: same code path, same arithmetic, tracing is passive.
     EXPECT_EQ(dt.admitted, dp.admitted) << "arrival " << i;
@@ -462,7 +462,7 @@ TEST(ObsDifferentialTest, TracedBatchMatchesTracedSequential) {
     const auto& decisions = batch.try_admit_burst(specs);
     ASSERT_EQ(decisions.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto d = seq.controller.try_admit(specs[i]);
+      const auto d = seq.controller.try_admit(specs[i], seq.sim.now());
       EXPECT_EQ(decisions[i].admitted, d.admitted)
           << "burst " << burst << " index " << i;
       EXPECT_DOUBLE_EQ(decisions[i].lhs_with_task, d.lhs_with_task);
