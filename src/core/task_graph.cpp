@@ -123,6 +123,7 @@ GraphTaskSpec GraphTaskSpec::from_pipeline(const TaskSpec& spec) {
   g.deadline = spec.deadline;
   g.importance = spec.importance;
   g.nodes.reserve(spec.stages.size());
+  if (spec.stages.size() > 1) g.edges.reserve(spec.stages.size() - 1);
   for (std::size_t j = 0; j < spec.stages.size(); ++j) {
     g.nodes.push_back(GraphNode{j, spec.stages[j]});
     if (j > 0) g.edges.push_back(GraphEdge{j - 1, j});

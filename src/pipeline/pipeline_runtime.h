@@ -1,24 +1,25 @@
 // End-to-end execution of admitted pipeline tasks.
 //
-// The runtime owns one StageServer per stage and moves each task through
-// them in order (precedence-constrained chain): the departure from stage j
-// is the arrival at stage j+1, exactly the model of Sec. 2. It also feeds
-// the synthetic-utilization tracker the two runtime signals the admission
-// scheme needs — subtask departures and stage-idle transitions — and
-// records end-to-end response times and deadline misses.
+// A pipeline task moves through the stages in order (precedence-constrained
+// chain): the departure from stage j is the arrival at stage j+1, exactly
+// the model of Sec. 2. That is Theorem 2's chain case, so this runtime is a
+// front end over DagRuntime, the one execution engine: each TaskSpec runs
+// as its chain GraphTaskSpec (stage j on resource j, edges j -> j+1). The
+// engine feeds the synthetic-utilization tracker the two runtime signals
+// the admission scheme needs — subtask departures and stage-idle
+// transitions — and records end-to-end response times and deadline misses.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
 #include "metrics/counters.h"
 #include "obs/stage_observer.h"
+#include "pipeline/dag_runtime.h"
 #include "pipeline/trace.h"
 #include "sched/stage_executor.h"
 #include "sim/simulator.h"
@@ -35,7 +36,7 @@ using PriorityPolicy = std::function<sched::PriorityValue(const core::TaskSpec&)
 // fixed-priority policy for aperiodic tasks; alpha = 1).
 PriorityPolicy deadline_monotonic_policy();
 
-class PipelineRuntime : private sched::StageListener {
+class PipelineRuntime {
  public:
   // `tracker` may be null (no admission bookkeeping, e.g. no-admission
   // baselines). If given, it must have num_stages() == `stages`.
@@ -52,35 +53,36 @@ class PipelineRuntime : private sched::StageListener {
   PipelineRuntime(const PipelineRuntime&) = delete;
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
 
-  std::size_t num_stages() const { return servers_.size(); }
-  sched::StageExecutor& stage(std::size_t j) { return *servers_[j]; }
+  std::size_t num_stages() const { return engine_.num_resources(); }
+  sched::StageExecutor& stage(std::size_t j) { return engine_.resource(j); }
   const sched::StageExecutor& stage(std::size_t j) const {
-    return *servers_[j];
+    return engine_.resource(j);
   }
 
   // The scheduling policy every stage dispatches through.
   const sched::SchedulingPolicy& scheduling_policy() const {
-    return servers_.front()->policy();
+    return engine_.scheduling_policy();
   }
 
   void set_priority_policy(PriorityPolicy policy);
 
   // Optional lifecycle tracing (Release / StageDeparture / Complete / Shed
   // events). The log must outlive the runtime; pass nullptr to detach.
-  void set_trace(TraceLog* trace) { trace_ = trace; }
+  void set_trace(TraceLog* trace) { engine_.set_trace(trace); }
 
   // Optional per-stage gauges (queue depth, sojourn histograms; see
   // docs/observability.md). Must have num_stages() stages and outlive the
   // runtime; nullptr detaches. Aborted tasks depart their current stage so
   // queue-depth gauges conserve.
-  void set_stage_observer(obs::StageObserver* observer);
+  void set_stage_observer(obs::StageObserver* observer) {
+    engine_.set_stage_observer(observer);
+  }
 
   // Callback at task completion: (spec, response_time, missed_deadline).
+  // The spec reference is valid only during the call.
   using CompletionCallback =
       std::function<void(const core::TaskSpec&, Duration, bool)>;
-  void set_on_task_complete(CompletionCallback cb) {
-    on_complete_ = std::move(cb);
-  }
+  void set_on_task_complete(CompletionCallback cb);
 
   // Releases an admitted task into stage 1 now. `absolute_deadline` is the
   // miss threshold (arrival + D for immediate admission; still anchored at
@@ -90,11 +92,11 @@ class PipelineRuntime : private sched::StageListener {
   // Aborts a task wherever it currently is (load shedding). No-op when the
   // task already completed. Does not touch the tracker — the shedding
   // controller removes contributions itself.
-  void abort_task(std::uint64_t task_id);
+  void abort_task(std::uint64_t task_id) { engine_.abort_task(task_id); }
 
   // True while the task is still executing in the pipeline.
   bool task_in_flight(std::uint64_t task_id) const {
-    return execs_.find(task_id) != execs_.end();
+    return engine_.task_in_flight(task_id);
   }
 
   // True once the task has consumed ANY processor time. Shedding a task
@@ -102,59 +104,35 @@ class PipelineRuntime : private sched::StageListener {
   // its synthetic-utilization contribution would vanish), so shedding
   // filters use this predicate. Unknown/completed tasks report true
   // (conservative: not sheddable).
-  bool task_started_executing(std::uint64_t task_id) const;
+  bool task_started_executing(std::uint64_t task_id) const {
+    return engine_.task_started_executing(task_id);
+  }
 
   // --- statistics ---
-  std::uint64_t started() const { return started_; }
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t aborted() const { return aborted_; }
-  const metrics::RatioTracker& misses() const { return misses_; }
-  const metrics::RunningStats& response_times() const { return response_; }
+  std::uint64_t started() const { return engine_.started(); }
+  std::uint64_t completed() const { return engine_.completed(); }
+  std::uint64_t aborted() const { return engine_.aborted(); }
+  const metrics::RatioTracker& misses() const { return engine_.misses(); }
+  const metrics::RunningStats& response_times() const {
+    return engine_.response_times();
+  }
 
   // Real utilization of each stage over [from, to].
-  std::vector<double> stage_utilizations(Time from, Time to) const;
+  std::vector<double> stage_utilizations(Time from, Time to) const {
+    return engine_.resource_utilizations(from, to);
+  }
 
   // Allocation-free overload into a caller-owned buffer of exactly
   // num_stages() elements.
-  void stage_utilizations(Time from, Time to, std::span<double> out) const;
+  void stage_utilizations(Time from, Time to, std::span<double> out) const {
+    engine_.resource_utilizations(from, to, out);
+  }
 
  private:
-  struct Exec {
-    core::TaskSpec spec;
-    Time release = kTimeZero;
-    Time absolute_deadline = kTimeZero;
-    sched::PriorityValue priority = 0;
-    std::size_t current_stage = 0;
-    Time stage_enter = kTimeZero;  // when it entered current_stage's queue
-    std::unique_ptr<sched::Job> job;  // job on the current stage
-  };
-
-  // StageListener: executors report completion/idle with their stage index
-  // in the tag (set at construction).
-  void on_job_complete(sched::StageExecutor& stage, sched::Job& job) override;
-  void on_stage_idle(sched::StageExecutor& stage) override;
-
-  void on_stage_complete(std::size_t stage, sched::Job& job);
-  void submit_to_stage(Exec& exec, std::size_t stage);
-
-  sim::Simulator& sim_;
-  core::SyntheticUtilizationTracker* tracker_;
-  std::vector<std::unique_ptr<sched::StageExecutor>> servers_;
+  DagRuntime engine_;
   PriorityPolicy policy_;
   CompletionCallback on_complete_;
-  TraceLog* trace_ = nullptr;
-  obs::StageObserver* stage_obs_ = nullptr;
-
-  // Job ids are globally unique per runtime; map back to the owning task.
-  std::unordered_map<std::uint64_t, std::uint64_t> job_to_task_;
-  std::unordered_map<std::uint64_t, Exec> execs_;  // by task id
-  std::uint64_t next_job_id_ = 1;
-
-  std::uint64_t started_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t aborted_ = 0;
-  metrics::RatioTracker misses_;
-  metrics::RunningStats response_;
+  core::TaskSpec completed_spec_;  // reused for every completion callback
 };
 
 }  // namespace frap::pipeline
