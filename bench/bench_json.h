@@ -20,11 +20,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,13 +66,13 @@ class CollectingReporter final : public benchmark::ConsoleReporter {
     return results_;
   }
 
-  // Counter value of the named benchmark, or `fallback` when the benchmark
-  // or the counter is absent (e.g. a --benchmark_filter excluded it). A
-  // name ending in '*' matches any run whose full name (including arg /
-  // thread suffixes the library appends) starts with the prefix.
+  // Counter value of the named benchmark. A name ending in '*' matches any
+  // run whose full name (including arg / thread suffixes the library
+  // appends) starts with the prefix. A missing row or counter (e.g. a
+  // --benchmark_filter excluded it, or the benchmark errored) is fatal:
+  // exporting a 0 in its place would read as a measurement.
   [[nodiscard]] double counter_of(const std::string& benchmark_name,
-                                  const std::string& counter,
-                                  double fallback = 0) const {
+                                  const std::string& counter) const {
     const bool prefix = !benchmark_name.empty() && benchmark_name.back() == '*';
     const std::string want =
         prefix ? benchmark_name.substr(0, benchmark_name.size() - 1)
@@ -82,7 +84,11 @@ class CollectingReporter final : public benchmark::ConsoleReporter {
       const auto it = r.counters.find(counter);
       if (it != r.counters.end()) return it->second;
     }
-    return fallback;
+    std::fprintf(stderr,
+                 "FATAL: no counter '%s' in benchmark '%s'; refusing to "
+                 "export an incomplete summary\n",
+                 counter.c_str(), benchmark_name.c_str());
+    std::exit(1);
   }
 
  private:
@@ -123,16 +129,41 @@ inline std::string json_path(const char* filename) {
 #endif
 }
 
-// Writes {"summary": {...}, "benchmarks": [...]}; returns false on I/O
-// failure. Callers must treat false as fatal (nonzero exit) so a missing
-// export fails CI instead of silently dropping a trajectory point.
+// The CPU model of this host ("model name" in /proc/cpuinfo), or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+// Writes {"host": {...}, "summary": {...}, "benchmarks": [...]}, where host
+// names the cores, CPU model and build type the numbers came from (the
+// build type is compiled in as FRAP_BUILD_TYPE by bench/CMakeLists.txt).
+// Returns false on I/O failure. Callers must treat false as fatal (nonzero
+// exit) so a missing export fails CI instead of silently dropping a
+// trajectory point.
 inline bool write_json(const std::string& path,
                        const std::vector<Result>& results,
                        const std::map<std::string, double>& summary) {
   std::ofstream os(path);
   if (!os) return false;
   os.precision(17);
-  os << "{\n  \"summary\": {";
+#ifdef FRAP_BUILD_TYPE
+  const std::string build_type = FRAP_BUILD_TYPE;
+#else
+  const std::string build_type = "unknown";
+#endif
+  os << "{\n  \"host\": {\n    \"cores\": "
+     << std::thread::hardware_concurrency() << ",\n    \"cpu_model\": \""
+     << escape(cpu_model()) << "\",\n    \"build_type\": \""
+     << escape(build_type) << "\"\n  },\n  \"summary\": {";
   bool first = true;
   for (const auto& [key, value] : summary) {
     os << (first ? "\n" : ",\n") << "    \"" << escape(key) << "\": ";

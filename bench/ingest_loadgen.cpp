@@ -19,7 +19,8 @@
 //                               must outrun. THE RATIO DENOMINATOR.
 //   * IngestDecodeReplay      — wire -> assemble -> controller, same churn:
 //                               what ingest adds on top of the baseline.
-//   * IngestDecodeAdmitBatch  — wire -> burst admit (SIMD batch f(U)).
+//   * IngestDecodeAdmitBatch  — wire -> burst admit (the whole frame at
+//                               one instant).
 //   * IngestShardedDecodeAdmit/threads:T — T independent open-loop lanes,
 //                               each decoding its own pre-encoded frame
 //                               into its home shard (ids are congruent to
@@ -243,8 +244,8 @@ void IngestDecodeReplay(benchmark::State& state) {
 }
 BENCHMARK(IngestDecodeReplay);
 
-// Wire -> burst admission: the whole frame is decided as one burst through
-// the SIMD batch f(U) path, then time advances one frame span so the
+// Wire -> burst admission: the whole frame is decided at one instant
+// (IngestSession::admit_burst), then time advances one frame span so the
 // population churns.
 void IngestDecodeAdmitBatch(benchmark::State& state) {
   ingest::WireEncoder enc(kStages);
@@ -256,18 +257,17 @@ void IngestDecodeAdmitBatch(benchmark::State& state) {
   core::SyntheticUtilizationTracker tracker(sim, kStages);
   core::AdmissionController controller(
       sim, tracker, core::FeasibleRegion::deadline_monotonic(kStages));
-  core::BatchAdmissionController batch(controller);
   ingest::IngestSession session(kStages);
   Time t = 0;
   for (std::size_t i = 0; i < 3; ++i) {
     sim.run_until(t);
-    const auto st = session.admit_burst(view, batch);
+    const auto st = session.admit_burst(view, controller);
     if (!st.ok()) std::abort();
     t += kFrameSpan;
   }
   for (auto _ : state) {
     sim.run_until(t);
-    const auto st = session.admit_burst(view, batch);
+    const auto st = session.admit_burst(view, controller);
     benchmark::DoNotOptimize(st.admitted);
     t += kFrameSpan;
   }

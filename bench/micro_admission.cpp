@@ -8,9 +8,10 @@
 //   * AdmissionVsTasks/T: cost vs live-task count at fixed N=4 — flat;
 //   * AdmissionReferencePath / AdmissionFastPath / AdmissionBatchPath:
 //     attempts/sec (items_per_second) of the seed full evaluation vs the
-//     incremental allocation-free fast path vs the shared-snapshot batch
-//     path, on the acceptance-criteria scenario — a 5-stage pipeline with
-//     sparse tasks (one touched stage) rejected right at the boundary;
+//     incremental allocation-free fast path vs a burst of N distinct probes
+//     decided at one instant, on the acceptance-criteria scenario — a
+//     5-stage pipeline with sparse tasks (one touched stage) rejected right
+//     at the boundary;
 //   * AdmissionChurnSlotMapStore / AdmissionChurnReferenceStore: the ISSUE 5
 //     storage A/B — full admit -> commit -> expire steady-state cycles at
 //     10k live tasks, slot-map/timer-wheel store vs the preserved PR-1
@@ -34,15 +35,13 @@
 
 #include "bench_json.h"
 #include "core/admission.h"
-#include "core/stage_delay_batch.h"
 #include "core/feasible_region.h"
-#include "core/reference_admitter.h"
-#include "core/reference_tracker.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
+#include "oracle/reference_admitter.h"
+#include "oracle/reference_tracker.h"
 #include "sim/simulator.h"
-#include "util/rng.h"
 #include "util/math.h"
 
 namespace {
@@ -176,91 +175,20 @@ void AdmissionBatchPath(benchmark::State& state) {
   core::AdmissionController controller(
       sim, tracker, core::FeasibleRegion::deadline_monotonic(kSweepStages));
   prefill_near_boundary(controller, kSweepStages);
-  core::BatchAdmissionController batch(controller);
   std::vector<core::TaskSpec> specs;
   for (std::size_t i = 0; i < burst; ++i) {
     specs.push_back(sparse_task(2 + i, kSweepStages, kProbeCompute));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.try_admit_burst(specs));
+    for (const auto& spec : specs) {
+      benchmark::DoNotOptimize(controller.try_admit(spec, sim.now()));
+    }
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(burst));
 }
 BENCHMARK(AdmissionBatchPath)->Arg(16)->Arg(64)->Arg(256);
-
-// Same burst scenario with the AVX2 kernel forced off: the A/B for the
-// vectorized f(U) evaluation. Decisions are bit-identical by contract
-// (tests/simd_batch_test.cpp); only the throughput may differ.
-void AdmissionBatchPathScalar(benchmark::State& state) {
-  const bool prev = core::set_batch_simd_enabled(false);
-  const auto burst = static_cast<std::size_t>(state.range(0));
-  sim::Simulator sim;
-  core::SyntheticUtilizationTracker tracker(sim, kSweepStages);
-  core::AdmissionController controller(
-      sim, tracker, core::FeasibleRegion::deadline_monotonic(kSweepStages));
-  prefill_near_boundary(controller, kSweepStages);
-  core::BatchAdmissionController batch(controller);
-  std::vector<core::TaskSpec> specs;
-  for (std::size_t i = 0; i < burst; ++i) {
-    specs.push_back(sparse_task(2 + i, kSweepStages, kProbeCompute));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.try_admit_burst(specs));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(burst));
-  (void)core::set_batch_simd_enabled(prev);
-}
-BENCHMARK(AdmissionBatchPathScalar)->Arg(64)->Arg(256);
-
-// Raw f(U) evaluation kernel A/B over a dense lane array — the shape the
-// AVX2 kernel is built for. The burst benches above probe with sparse
-// one-touched-stage tasks, where the density gate in try_admit_burst
-// (core/admission.cpp) correctly routes AROUND the kernel: evaluating
-// every lane of a 5-stage pipeline to use one touched result loses to a
-// single scalar call no matter how fast the vector division is. This pair
-// isolates the kernel itself on 4096 dense lanes.
-constexpr std::size_t kKernelLanes = 4096;
-
-std::vector<double> kernel_lanes() {
-  std::vector<double> u(kKernelLanes);
-  frap::util::Rng rng(20260808);
-  for (auto& x : u) x = rng.uniform(0.0, 0.97);
-  return u;
-}
-
-void StageDelayKernelBatch(benchmark::State& state) {
-  const bool prev = core::set_batch_simd_enabled(true);
-  const std::vector<double> u = kernel_lanes();
-  std::vector<double> out(u.size());
-  for (auto _ : state) {
-    core::batch_stage_delay_factors(u.data(), out.data(), u.size());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(u.size()));
-  (void)core::set_batch_simd_enabled(prev);
-}
-BENCHMARK(StageDelayKernelBatch);
-
-void StageDelayKernelScalar(benchmark::State& state) {
-  const bool prev = core::set_batch_simd_enabled(false);
-  const std::vector<double> u = kernel_lanes();
-  std::vector<double> out(u.size());
-  for (auto _ : state) {
-    core::batch_stage_delay_factors(u.data(), out.data(), u.size());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(u.size()));
-  (void)core::set_batch_simd_enabled(prev);
-}
-BENCHMARK(StageDelayKernelScalar);
 
 // ------------------------------------------- storage churn A/B (ISSUE 5) --
 // The full per-admission work at capacity: test, commit into the tracker,
@@ -490,22 +418,7 @@ int main(int argc, char** argv) {
   const double ref_shed = summary["shed_reference_attempts_per_sec"];
   summary["shed_speedup"] =
       ref_shed > 0 ? summary["shed_slotmap_attempts_per_sec"] / ref_shed : 0;
-  summary["batch_simd_available"] =
-      frap::core::batch_simd_available() ? 1.0 : 0.0;
   summary["batch_256_attempts_per_sec"] = rate("AdmissionBatchPath/256");
-  summary["batch_256_scalar_attempts_per_sec"] =
-      rate("AdmissionBatchPathScalar/256");
-  const double scalar_256 = summary["batch_256_scalar_attempts_per_sec"];
-  // ~1.0 by design: the sparse probes route around the kernel (density
-  // gate); the kernel's own speedup is the f_kernel ratio below.
-  summary["batch_simd_speedup"] =
-      scalar_256 > 0 ? summary["batch_256_attempts_per_sec"] / scalar_256 : 0;
-  summary["f_kernel_evals_per_sec"] = rate("StageDelayKernelBatch");
-  summary["f_kernel_scalar_evals_per_sec"] = rate("StageDelayKernelScalar");
-  const double scalar_kernel = summary["f_kernel_scalar_evals_per_sec"];
-  summary["f_kernel_simd_speedup"] =
-      scalar_kernel > 0 ? summary["f_kernel_evals_per_sec"] / scalar_kernel
-                        : 0;
   const std::string path =
       frap::benchjson::json_path("BENCH_admission.json");
   if (!frap::benchjson::write_json(path, reporter.results(), summary)) {

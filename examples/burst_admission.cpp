@@ -1,10 +1,10 @@
-// Burst admission: deciding arrival storms in one pass.
+// Burst admission: deciding arrival storms at one instant.
 //
 // Bursty sources (sensor frames, fan-in upstream queues, replayed traces)
-// release many tasks at the same instant. BatchAdmissionController snapshots
-// the tracker once per burst and decides every arrival with pure array
-// arithmetic — same decisions as calling try_admit() per task, at a fraction
-// of the per-attempt cost (bench/micro_admission quantifies it).
+// release many tasks at the same instant. A burst needs no special path:
+// each arrival goes through try_admit(spec, now) in release order, which
+// costs O(touched stages) and commits before the next arrival is tested
+// (IngestSession::admit_burst does the same for a decoded wire frame).
 //
 // This demo fires Poisson-spaced bursts of 8-64 tasks at a 4-stage pipeline
 // for 30 simulated seconds and shows:
@@ -35,7 +35,6 @@ int main() {
   pipeline::PipelineRuntime runtime(sim, kStages, &tracker);
   core::AdmissionController admission(
       sim, tracker, core::FeasibleRegion::deadline_monotonic(kStages));
-  core::BatchAdmissionController batch(admission);
 
   util::Rng rng(2026);
   std::uint64_t next_id = 1;
@@ -60,10 +59,9 @@ int main() {
           }
         }
       }
-      const auto& decisions = batch.try_admit_burst(storm);
-      for (std::size_t i = 0; i < storm.size(); ++i) {
-        if (decisions[i].admitted) {
-          runtime.start_task(storm[i], sim.now() + storm[i].deadline);
+      for (const auto& spec : storm) {
+        if (admission.try_admit(spec, sim.now()).admitted) {
+          runtime.start_task(spec, sim.now() + spec.deadline);
         }
       }
       ++bursts;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/stage_delay.h"
-#include "core/stage_delay_batch.h"
 #include "util/check.h"
 #include "util/math.h"
 
@@ -26,7 +25,6 @@ AdmissionController::AdmissionController(sim::Simulator& sim,
                                          FeasibleRegion region)
     : sim_(sim), tracker_(tracker), region_(std::move(region)) {
   FRAP_EXPECTS(tracker_.num_stages() == region_.num_stages());
-  scratch_.resize(region_.num_stages());
   commit_stages_.reserve(region_.num_stages());
   commit_values_.reserve(region_.num_stages());
 }
@@ -119,16 +117,6 @@ void AdmissionController::record_audit(const TaskSpec& spec,
   }
 }
 
-std::uint16_t AdmissionController::touched_stages(const TaskSpec& spec) const {
-  std::uint16_t k = 0;
-  for (std::size_t j = 0; j < region_.num_stages(); ++j) {
-    const Duration c =
-        mean_compute_.empty() ? spec.stages[j].compute : mean_compute_[j];
-    if (c > 0) ++k;
-  }
-  return k;
-}
-
 bool AdmissionController::test(const TaskSpec& spec) const {
   FRAP_EXPECTS(spec.deadline > 0);
   FRAP_EXPECTS(spec.num_stages() == region_.num_stages());
@@ -170,228 +158,6 @@ AdmissionDecision AdmissionController::try_admit_tagged(
   record_audit(spec, d);
   if (sink_ != nullptr) sink_->record(d, spec.id, touched, t0);
   return d;
-}
-
-// ---------------------------------------------------------------- batch ---
-
-BatchAdmissionController::BatchAdmissionController(AdmissionController& inner)
-    : inner_(inner) {
-  const std::size_t n = inner_.tracker().num_stages();
-  u_.resize(n);
-  f_.resize(n);
-  c_.resize(n);
-  u_with_.resize(n);
-  f_with_.resize(n);
-}
-
-const std::vector<AdmissionDecision>& BatchAdmissionController::try_admit_burst(
-    std::span<const TaskSpec> specs) {
-  ++bursts_;
-  SyntheticUtilizationTracker& tracker = inner_.tracker_;
-  const FeasibleRegion& region = inner_.region_;
-  const std::size_t n = region.num_stages();
-  const Time now = inner_.sim_.now();
-
-  // One shared snapshot for the whole burst.
-  for (std::size_t j = 0; j < n; ++j) {
-    u_[j] = tracker.utilization(j);
-    f_[j] = tracker.stage_lhs_term(j);
-  }
-  double lhs = tracker.cached_lhs();
-
-  decisions_.clear();
-  for (const TaskSpec& spec : specs) {
-    ++inner_.attempts_;
-    obs::DecisionSink* sink = inner_.sink_;
-    const std::uint64_t t0 = sink != nullptr ? sink->begin_decision() : 0;
-    FRAP_EXPECTS(spec.deadline > 0);
-    FRAP_EXPECTS(spec.num_stages() == n);
-    const double inv_d = util::safe_inv(spec.deadline);
-
-    AdmissionDecision d;
-    d.arrival = now;
-    d.decided_at = now;
-    d.bound = region.bound();
-    d.lhs_before = lhs;
-    double delta = 0;
-    bool saturates = false;
-    bool decided = false;
-    // Pipelines shorter than two vector blocks can't pay for the dense
-    // evaluation + density scan even when fully touched; skip straight to
-    // the fused scalar loop there.
-    if (batch_simd_active() && n >= 8) {
-      // SIMD path: evaluate f over the whole candidate vector in one call,
-      // then accumulate the touched-stage deltas in the same ascending
-      // order as the scalar loop. The kernel's bit-identity contract
-      // (core/stage_delay_batch.h) makes the decision — and the LHS the
-      // decision record carries — independent of the dispatch outcome.
-      //
-      // Density gate: the kernel evaluates every lane while the scalar
-      // loop only evaluates touched stages, so dense evaluation only pays
-      // when the task touches at least half the pipeline. For sparser
-      // tasks fall through to the scalar loop (same result, bit-identical
-      // by the kernel contract — only the instruction mix changes). The
-      // count scan is store-free and multiply-free (contribution() is the
-      // base compute scaled by two positive factors, so its sign is the
-      // base's sign) so the sparse route keeps the fused scalar loop below
-      // at full speed.
-      const bool mean_mode = !inner_.mean_compute_.empty();
-      std::size_t touched = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double base =
-            mean_mode ? inner_.mean_compute_[j] : spec.stages[j].compute;
-        if (base > 0) ++touched;
-      }
-      if (2 * touched >= n) {
-        decided = true;
-        for (std::size_t j = 0; j < n; ++j) {
-          c_[j] = inner_.contribution(spec, j, inv_d);
-          u_with_[j] = u_[j] + c_[j];
-        }
-        batch_stage_delay_factors(u_with_.data(), f_with_.data(), n);
-        for (std::size_t j = 0; j < n; ++j) {
-          if (c_[j] <= 0) continue;
-          if (u_with_[j] >= 1.0) {
-            saturates = true;
-            break;
-          }
-          delta += f_with_[j] - f_[j];
-        }
-      }
-    }
-    if (!decided) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const double c = inner_.contribution(spec, j, inv_d);
-        if (c <= 0) continue;
-        const double u_new = u_[j] + c;
-        if (u_new >= 1.0) {
-          saturates = true;
-          break;
-        }
-        delta += stage_delay_factor(u_new) - f_[j];
-      }
-    }
-    d.lhs_with_task = saturates ? util::kInf : lhs + delta;
-    d.admitted = region.admits(d.lhs_with_task);
-    d.reason = d.admitted ? AdmissionDecision::Reason::kAdmitted
-                          : reject_reason(d.lhs_with_task);
-
-    if (d.admitted) {
-      ++inner_.admitted_;
-      inner_.commit(spec, now + spec.deadline);
-      // Mirror the commit into the snapshot from the tracker itself, so the
-      // burst's working state is bit-identical to what sequential fast-path
-      // admissions would observe.
-      for (std::size_t j = 0; j < n; ++j) {
-        if (inner_.contribution(spec, j, inv_d) <= 0) continue;
-        u_[j] = tracker.utilization(j);
-        f_[j] = tracker.stage_lhs_term(j);
-      }
-      lhs = tracker.cached_lhs();
-    }
-    inner_.record_audit(spec, d);
-    if (sink != nullptr)
-      sink->record(d, spec.id, inner_.touched_stages(spec), t0);
-    decisions_.push_back(d);
-  }
-  return decisions_;
-}
-
-// -------------------------------------------------------------- waiting ---
-
-WaitingAdmissionController::WaitingAdmissionController(
-    sim::Simulator& sim, AdmissionController& inner, Duration patience)
-    : sim_(sim), inner_(inner), patience_(patience) {
-  FRAP_EXPECTS(patience >= 0);
-}
-
-void WaitingAdmissionController::attach() {
-  inner_.tracker().set_on_decrease([this] { retry(); });
-}
-
-void WaitingAdmissionController::decide(const Pending& p,
-                                        const AdmissionDecision& d) {
-  if (decide_) decide_(p.spec, d);
-}
-
-AdmissionDecision WaitingAdmissionController::timed_out_decision(
-    const Pending& p) const {
-  // Final rejection after waiting: report the LHS pair of the last failed
-  // test so the callback still sees how far outside the region the task was.
-  AdmissionDecision d = p.last_test;
-  d.admitted = false;
-  d.reason = AdmissionDecision::Reason::kTimedOut;
-  d.arrival = p.arrival;
-  d.decided_at = sim_.now();
-  return d;
-}
-
-void WaitingAdmissionController::submit(const TaskSpec& spec) {
-  const Time arrival = sim_.now();
-  Pending p{spec, arrival, AdmissionDecision{}, sim::kInvalidEventId};
-  // FIFO: while earlier arrivals wait, newcomers queue behind them even if
-  // they would fit — otherwise small tasks would starve large waiting ones.
-  if (queue_.empty()) {
-    const auto d = inner_.try_admit(spec, arrival);
-    if (d.admitted) {
-      decide(p, d);
-      return;
-    }
-    p.last_test = d;
-  } else {
-    p.last_test.bound = inner_.region().bound();
-    p.last_test.lhs_before = inner_.tracker().cached_lhs();
-    p.last_test.lhs_with_task = p.last_test.lhs_before;
-  }
-  if (patience_ <= 0) {
-    decide(p, timed_out_decision(p));
-    return;
-  }
-  const std::uint64_t id = spec.id;
-  p.timeout_event = sim_.after(patience_, [this, id] { timeout(id); });
-  queue_.push_back(std::move(p));
-}
-
-void WaitingAdmissionController::retry() {
-  // A decrease can fire while a retry scan is already running: an admitted
-  // task's decision callback may cascade into expiries, idle resets, or
-  // removals (e.g. the runtime starting the task synchronously completes a
-  // zero-length subtask). Re-entering the scan here would double-process
-  // the queue front, but silently dropping the notification could strand a
-  // waiter that now fits until the NEXT decrease — so remember it and
-  // re-arm the scan once the active pass finishes.
-  if (retrying_) {
-    rearm_ = true;
-    return;
-  }
-  retrying_ = true;
-  do {
-    rearm_ = false;
-    while (!queue_.empty()) {
-      Pending& p = queue_.front();
-      const auto d = inner_.try_admit(p.spec, p.arrival);
-      if (!d.admitted) {
-        p.last_test = d;
-        break;  // FIFO: later tasks wait their turn
-      }
-      sim_.cancel(p.timeout_event);
-      Pending done = std::move(p);
-      queue_.pop_front();
-      decide(done, d);
-    }
-    if (rearm_) ++rearmed_retries_;
-  } while (rearm_);
-  retrying_ = false;
-}
-
-void WaitingAdmissionController::timeout(std::uint64_t task_id) {
-  auto it = std::find_if(queue_.begin(), queue_.end(),
-                         [&](const Pending& p) { return p.spec.id == task_id; });
-  if (it == queue_.end()) return;  // already admitted
-  Pending done = std::move(*it);
-  queue_.erase(it);
-  ++timed_out_;
-  decide(done, timed_out_decision(done));
 }
 
 // ------------------------------------------------------------- shedding ---
@@ -553,58 +319,31 @@ AdmissionDecision GraphAdmissionController::try_admit(const TaskSpec& spec,
   return try_admit(GraphTaskSpec::from_pipeline(spec), now);
 }
 
-// ------------------------------------------------------- waiting (graph) ---
+// -------------------------------------------------------------- waiting ---
 
-WaitingGraphAdmissionController::WaitingGraphAdmissionController(
-    sim::Simulator& sim, GraphAdmissionController& inner, Duration patience)
-    : sim_(sim), inner_(inner), tracker_(inner.tracker()),
-      patience_(patience) {
+template <class Controller, class Spec, class Gate>
+WaitingAdmission<Controller, Spec, Gate>::WaitingAdmission(
+    sim::Simulator& sim, Controller& inner, Duration patience)
+    : sim_(sim), inner_(inner), patience_(patience) {
   FRAP_EXPECTS(patience >= 0);
 }
 
-void WaitingGraphAdmissionController::attach() {
-  tracker_.set_on_decrease([this] { on_decrease(); });
+template <class Controller, class Spec, class Gate>
+void WaitingAdmission<Controller, Spec, Gate>::attach() {
+  inner_.tracker().set_on_decrease([this] { on_decrease(); });
 }
 
-void WaitingGraphAdmissionController::snapshot_gate(Pending& p) const {
-  if (p.touched.empty()) {
-    if (p.spec.shape != nullptr) {
-      const auto touched = p.spec.shape->touched_resources();
-      p.touched.assign(touched.begin(), touched.end());
-    } else {
-      for (const auto& n : p.spec.nodes) {
-        p.touched.push_back(static_cast<std::uint32_t>(n.resource));
-      }
-      std::sort(p.touched.begin(), p.touched.end());
-      p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
-                      p.touched.end());
-    }
-  }
-  p.gate_f.resize(p.touched.size());
-  for (std::size_t i = 0; i < p.touched.size(); ++i) {
-    p.gate_f[i] = tracker_.stage_lhs_term(p.touched[i]);
-  }
-}
-
-bool WaitingGraphAdmissionController::gate_changed(const Pending& p) const {
-  for (std::size_t i = 0; i < p.touched.size(); ++i) {
-    // Bitwise compare, deliberately: f is strictly increasing in U, so an
-    // identical f-term means an identical touched utilization and the failed
-    // test would repeat verbatim. Any real change — in either direction —
-    // re-evaluates, so the gate can only skip provably-futile retries.
-    // frap-lint: allow(float-equality) -- exactness is the point here.
-    if (p.gate_f[i] != tracker_.stage_lhs_term(p.touched[i])) return true;
-  }
-  return false;
-}
-
-void WaitingGraphAdmissionController::decide(const Pending& p,
-                                             const AdmissionDecision& d) {
+template <class Controller, class Spec, class Gate>
+void WaitingAdmission<Controller, Spec, Gate>::decide(
+    const Pending& p, const AdmissionDecision& d) {
   if (decide_) decide_(p.spec, d);
 }
 
-AdmissionDecision WaitingGraphAdmissionController::timed_out_decision(
+template <class Controller, class Spec, class Gate>
+AdmissionDecision WaitingAdmission<Controller, Spec, Gate>::timed_out_decision(
     const Pending& p) const {
+  // Final rejection after waiting: report the LHS pair of the last failed
+  // test so the callback still sees how far outside the region the task was.
   AdmissionDecision d = p.last_test;
   d.admitted = false;
   d.reason = AdmissionDecision::Reason::kTimedOut;
@@ -613,9 +352,10 @@ AdmissionDecision WaitingGraphAdmissionController::timed_out_decision(
   return d;
 }
 
-void WaitingGraphAdmissionController::submit(const GraphTaskSpec& spec) {
+template <class Controller, class Spec, class Gate>
+void WaitingAdmission<Controller, Spec, Gate>::submit(const Spec& spec) {
   const Time arrival = sim_.now();
-  Pending p{spec, arrival, AdmissionDecision{}, sim::kInvalidEventId, {}, {}};
+  Pending p{spec, arrival, AdmissionDecision{}, sim::kInvalidEventId, {}};
   // FIFO: while earlier arrivals wait, newcomers queue behind them even if
   // they would fit — otherwise small tasks would starve large waiting ones.
   if (queue_.empty()) {
@@ -626,35 +366,41 @@ void WaitingGraphAdmissionController::submit(const GraphTaskSpec& spec) {
     }
     p.last_test = d;
   } else {
-    p.last_test.bound = LongPathEvaluator::kDelayBudget;
-    p.last_test.lhs_before = tracker_.cached_lhs();
+    p.last_test.bound = inner_.bound(spec);
+    p.last_test.lhs_before = inner_.tracker().cached_lhs();
     p.last_test.lhs_with_task = p.last_test.lhs_before;
   }
   if (patience_ <= 0) {
     decide(p, timed_out_decision(p));
     return;
   }
-  snapshot_gate(p);
+  p.gate.snapshot(p.spec, inner_.tracker());
   const std::uint64_t id = spec.id;
   p.timeout_event = sim_.after(patience_, [this, id] { timeout(id); });
   queue_.push_back(std::move(p));
 }
 
-void WaitingGraphAdmissionController::on_decrease() {
+template <class Controller, class Spec, class Gate>
+void WaitingAdmission<Controller, Spec, Gate>::on_decrease() {
   if (queue_.empty()) return;
-  // Headroom gate: only the FIFO front is eligible for retry, so if none of
-  // ITS touched f-terms moved since its last failed test, no evaluation can
-  // change outcome — skip without invoking the evaluator at all.
-  if (!retrying_ && !gate_changed(queue_.front())) {
+  // Only the FIFO front is eligible for retry, so when the gate rules out
+  // a change to ITS test, no evaluation can change the outcome.
+  if (!retrying_ && !queue_.front().gate.changed(inner_.tracker())) {
     ++gate_skips_;
     return;
   }
   retry();
 }
 
-void WaitingGraphAdmissionController::retry() {
-  // Same re-arm discipline as WaitingAdmissionController::retry: a decide
-  // callback can cascade into further decreases mid-scan.
+template <class Controller, class Spec, class Gate>
+void WaitingAdmission<Controller, Spec, Gate>::retry() {
+  // A decrease can fire while a retry scan is already running: an admitted
+  // task's decision callback may cascade into expiries, idle resets, or
+  // removals (e.g. the runtime starting the task synchronously completes a
+  // zero-length subtask). Re-entering the scan here would double-process
+  // the queue front, but silently dropping the notification could strand a
+  // waiter that now fits until the NEXT decrease — so remember it and
+  // re-arm the scan once the active pass finishes.
   if (retrying_) {
     rearm_ = true;
     return;
@@ -667,7 +413,7 @@ void WaitingGraphAdmissionController::retry() {
       const auto d = inner_.try_admit(p.spec, p.arrival);
       if (!d.admitted) {
         p.last_test = d;
-        snapshot_gate(p);
+        p.gate.snapshot(p.spec, inner_.tracker());
         break;  // FIFO: later tasks wait their turn
       }
       sim_.cancel(p.timeout_event);
@@ -680,7 +426,8 @@ void WaitingGraphAdmissionController::retry() {
   retrying_ = false;
 }
 
-void WaitingGraphAdmissionController::timeout(std::uint64_t task_id) {
+template <class Controller, class Spec, class Gate>
+void WaitingAdmission<Controller, Spec, Gate>::timeout(std::uint64_t task_id) {
   auto it = std::find_if(queue_.begin(), queue_.end(),
                          [&](const Pending& p) { return p.spec.id == task_id; });
   if (it == queue_.end()) return;  // already admitted
@@ -690,10 +437,46 @@ void WaitingGraphAdmissionController::timeout(std::uint64_t task_id) {
   ++timed_out_;
   decide(done, timed_out_decision(done));
   // A timeout promotes the next waiter to the front without any decrease
-  // event; it has never been tested against the current state, so retry now
-  // (which also snapshots its gate on failure) rather than stranding it
-  // until the next touched-f change.
+  // event; it may never have been tested against the current state, so
+  // retry now rather than stranding it until the next decrease.
   if (was_front && !queue_.empty()) retry();
 }
+
+void HeadroomGate::snapshot(const GraphTaskSpec& spec,
+                            const SyntheticUtilizationTracker& tracker) {
+  if (touched_.empty()) {
+    if (spec.shape != nullptr) {
+      const auto touched = spec.shape->touched_resources();
+      touched_.assign(touched.begin(), touched.end());
+    } else {
+      for (const auto& n : spec.nodes) {
+        touched_.push_back(static_cast<std::uint32_t>(n.resource));
+      }
+      std::sort(touched_.begin(), touched_.end());
+      touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                     touched_.end());
+    }
+  }
+  f_.resize(touched_.size());
+  for (std::size_t i = 0; i < touched_.size(); ++i) {
+    f_[i] = tracker.stage_lhs_term(touched_[i]);
+  }
+}
+
+bool HeadroomGate::changed(const SyntheticUtilizationTracker& tracker) const {
+  for (std::size_t i = 0; i < touched_.size(); ++i) {
+    // Bitwise compare, deliberately: f is strictly increasing in U, so an
+    // identical f-term means an identical touched utilization and the failed
+    // test would repeat verbatim. Any real change — in either direction —
+    // re-evaluates, so the gate can only skip provably-futile retries.
+    // frap-lint: allow(float-equality) -- exactness is the point here.
+    if (f_[i] != tracker.stage_lhs_term(touched_[i])) return true;
+  }
+  return false;
+}
+
+template class WaitingAdmission<AdmissionController, TaskSpec, NoGate>;
+template class WaitingAdmission<GraphAdmissionController, GraphTaskSpec,
+                                HeadroomGate>;
 
 }  // namespace frap::core

@@ -1,42 +1,42 @@
 // Admission control against the feasible region (Sec. 4 and Sec. 5).
 //
-// Every controller here implements the unified frap::Admitter interface
-// (src/service/admitter.h) with the one canonical signature
+// Two cores decide a task at its arrival instant `now`:
+//   * AdmissionController — the paper's pipeline test (Eq. 12): tentatively
+//     add the task's per-stage contributions to the tracked synthetic
+//     utilizations and admit iff sum_j f(U_j) stays inside the region;
+//   * GraphAdmissionController — the same test for DAG tasks (Thm 2), with
+//     the critical-path or the long-path bound (docs/dag_bounds.md).
+// Both implement frap::Admitter (src/service/admitter.h):
 //
 //   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec, Time now)
 //
-// where `now` is the task's arrival instant: an admitted task's contribution
-// is committed with expiry at now + spec.deadline, and the decision records
-// the evaluated LHS pair, the bound, and a machine-readable Reason
-// (core/admission_decision.h).
-//
-// The base controller implements the paper's admission test: tentatively add
-// the arriving task's per-stage contributions to the tracked synthetic
-// utilizations and admit iff the result stays inside the feasible region.
-// Costs are independent of how many tasks are in the system — the paper's
+// An admitted task's contribution is committed with expiry at
+// now + spec.deadline, and the decision records the evaluated LHS pair, the
+// bound, and a machine-readable Reason (core/admission_decision.h). Costs
+// are independent of how many tasks are in the system — the paper's
 // headline complexity claim, exercised by bench/micro_admission.
 //
-// The default path is incremental and allocation-free: the tracker keeps
+// The pipeline test is incremental and allocation-free: the tracker keeps
 // f(U_j) per stage plus the running LHS scalar, so a task touching k stages
 // is tested against cached_lhs + sum of k deltas in O(k), without snapshot
 // vectors and without evaluating untouched stages (docs/incremental_lhs.md).
-// The original full O(N)-with-snapshots evaluation lives in
-// frap::testing::ReferenceAdmitter (core/reference_admitter.h), used by the
-// A/B identity tests and benchmarks only.
+// The original full O(N)-with-snapshots evaluation is the test oracle
+// frap::testing::ReferenceAdmitter (tests/oracle/), linked by tests and
+// benches only.
 //
-// Variants layered on top:
+// Policies over the two cores:
 //   * approximate admission (Sec. 4.4): the test uses per-stage MEAN
 //     computation times instead of the task's actual ones (the actual values
 //     still execute), modelling operators who only know averages;
-//   * waiting admission (Sec. 5): a rejected task may wait a bounded
-//     patience for the region to drain (it retries on every utilization
-//     decrease) before being finally rejected;
+//   * burst admission: a burst is try_admit called per task at one instant
+//     (ingest::IngestSession::admit_burst for a decoded wire frame);
+//   * waiting admission (Sec. 5), one template for both cores: a rejected
+//     task waits a bounded patience in a FIFO queue, retried on utilization
+//     decreases, before being finally rejected;
 //   * shedding admission (Sec. 5): when an important task does not fit,
 //     less important admitted tasks are shed (their contributions removed
 //     and their execution aborted) in increasing order of importance until
-//     the newcomer fits;
-//   * graph admission (Thm 2): the region is evaluated per task over its
-//     DAG's critical path instead of the pipeline sum.
+//     the newcomer fits.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/admission_audit.h"
@@ -111,6 +110,10 @@ class AdmissionController : public Admitter {
   [[nodiscard]] bool test(const TaskSpec& spec) const;
 
   const FeasibleRegion& region() const { return region_; }
+  // The bound try_admit() holds `spec` to (the region's, for every task).
+  [[nodiscard]] double bound(const TaskSpec& /*spec*/) const {
+    return region_.bound();
+  }
   SyntheticUtilizationTracker& tracker() { return tracker_; }
   Time now() const { return sim_.now(); }
 
@@ -134,7 +137,6 @@ class AdmissionController : public Admitter {
   }
 
  private:
-  friend class BatchAdmissionController;
   friend class ::frap::testing::ReferenceAdmitter;
 
   std::vector<double> contributions_for(const TaskSpec& spec) const;
@@ -162,15 +164,10 @@ class AdmissionController : public Admitter {
 
   void record_audit(const TaskSpec& spec, const AdmissionDecision& d);
 
-  // Stages the task contributes to (c_j > 0) under the active admission
-  // mode; only evaluated when a sink is attached.
-  std::uint16_t touched_stages(const TaskSpec& spec) const;
-
   sim::Simulator& sim_;
   SyntheticUtilizationTracker& tracker_;
   FeasibleRegion region_;
   std::vector<Duration> mean_compute_;  // empty = exact admission
-  std::vector<double> scratch_;         // reused contribution buffer
   // Reused sparse (stage, value) pair buffers for commit(); sized to
   // num_stages() up front so the hot path never grows them.
   std::vector<std::uint32_t> commit_stages_;
@@ -180,104 +177,6 @@ class AdmissionController : public Admitter {
   obs::DecisionSink* sink_ = nullptr;
   std::uint64_t attempts_ = 0;
   std::uint64_t admitted_ = 0;
-};
-
-// Decides a burst of arrivals in one pass (replay / bursty workloads that
-// release many tasks at the same instant). The tracker state is snapshotted
-// once into reusable buffers; every spec is tested in order against the
-// running snapshot with pure array arithmetic, and each admission is
-// committed to the tracker before the next spec is tested — so the decisions
-// are identical to calling inner.try_admit() sequentially, while the hot
-// loop avoids per-attempt tracker reads. Counters and the audit of the
-// inner controller are updated exactly as for single admissions.
-class BatchAdmissionController : public Admitter {
- public:
-  explicit BatchAdmissionController(AdmissionController& inner);
-
-  // Decides every spec of the burst at the current instant (each admitted
-  // task expires at now + its own deadline). Returns one decision per spec,
-  // in order. The returned reference points at an internal buffer that is
-  // reused by the next call.
-  [[nodiscard]] const std::vector<AdmissionDecision>& try_admit_burst(
-      std::span<const TaskSpec> specs);
-
-  // Admitter: a burst of one, decided by the inner controller.
-  [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec,
-                                            Time now) override {
-    return inner_.try_admit(spec, now);
-  }
-
-  std::uint64_t bursts() const { return bursts_; }
-
- private:
-  AdmissionController& inner_;
-  std::vector<double> u_;  // working per-stage utilization snapshot
-  std::vector<double> f_;  // working per-stage f-terms
-  // Scratch for the SIMD batch f(U) evaluation (core/stage_delay_batch.h):
-  // per-spec contributions, candidate utilizations, and their f-terms.
-  std::vector<double> c_;
-  std::vector<double> u_with_;
-  std::vector<double> f_with_;
-  std::vector<AdmissionDecision> decisions_;
-  std::uint64_t bursts_ = 0;
-};
-
-// Sec. 5 waiting behaviour: an arrival that does not fit immediately is
-// parked for up to `patience`; every utilization decrease retries the queue
-// in FIFO order. The absolute deadline stays anchored at the original
-// arrival time, so waiting consumes the task's own slack.
-class WaitingAdmissionController {
- public:
-  // Decision callback: receives the full decision. decision.arrival is the
-  // task's original arrival (its deadline stays anchored there) and
-  // decision.decided_at the simulation instant of the decision (arrival +
-  // waiting). A task that waits out its patience is reported with
-  // reason == Reason::kTimedOut and the LHS pair of its last failed test.
-  using DecisionCallback =
-      std::function<void(const TaskSpec&, const AdmissionDecision&)>;
-
-  WaitingAdmissionController(sim::Simulator& sim, AdmissionController& inner,
-                             Duration patience);
-
-  // Call once; the controller hooks the tracker's decrease notifications.
-  // Any previously installed on-decrease callback is replaced.
-  void attach();
-
-  void set_decision_callback(DecisionCallback cb) { decide_ = std::move(cb); }
-
-  // Submits an arrival at the current time. May decide synchronously (fits
-  // now, or patience == 0) or later.
-  void submit(const TaskSpec& spec);
-
-  std::size_t pending() const { return queue_.size(); }
-  std::uint64_t timed_out() const { return timed_out_; }
-
-  // Times a decrease arrived while a retry scan was already running and the
-  // scan was re-armed to run again (observability for the cascade case).
-  std::uint64_t rearmed_retries() const { return rearmed_retries_; }
-
- private:
-  struct Pending {
-    TaskSpec spec;
-    Time arrival;
-    AdmissionDecision last_test;  // most recent failed admission attempt
-    sim::EventId timeout_event;
-  };
-
-  void retry();
-  void timeout(std::uint64_t task_id);
-  void decide(const Pending& p, const AdmissionDecision& d);
-  AdmissionDecision timed_out_decision(const Pending& p) const;
-
-  sim::Simulator& sim_;
-  AdmissionController& inner_;
-  Duration patience_;
-  std::deque<Pending> queue_;
-  DecisionCallback decide_;
-  std::uint64_t timed_out_ = 0;
-  bool retrying_ = false;
-  bool rearm_ = false;  // decrease observed mid-retry: scan again
-  std::uint64_t rearmed_retries_ = 0;
 };
 
 // Sec. 5 load shedding: admitted tasks register with their semantic
@@ -351,6 +250,12 @@ class GraphAdmissionController : public Admitter {
 
   SyntheticUtilizationTracker& tracker() { return tracker_; }
 
+  // The bound try_admit() holds `spec` to.
+  [[nodiscard]] double bound(const GraphTaskSpec& spec) const {
+    return long_path_ ? LongPathEvaluator::kDelayBudget
+                      : evaluator_->bound(spec);
+  }
+
   std::uint64_t attempts() const { return attempts_; }
   std::uint64_t admitted() const { return admitted_; }
 
@@ -383,23 +288,24 @@ class GraphAdmissionController : public Admitter {
   obs::DecisionSink* sink_ = nullptr;
 };
 
-// Sec. 5 waiting behaviour for DAG tasks, with a headroom gate fixing the
-// re-walk-on-expire cost: a parked task stores the tracker's cached f-terms
-// over its touched resources at its last failed test, and a utilization
-// decrease only re-runs the (profile or full-DAG) evaluation when one of
-// those f-terms actually changed. f is strictly increasing in U, so equal
-// f-terms mean the touched utilizations are unchanged and the failed test
-// would repeat verbatim — the gate can never strand an admissible waiter.
-// Decreases at resources the front waiter does not touch cost O(touched)
-// compares and zero evaluator invocations (gate_skips()).
-class WaitingGraphAdmissionController {
+// Sec. 5 waiting admission, written once for pipeline and DAG tasks: an
+// arrival that does not fit immediately is parked for up to `patience`, and
+// every utilization decrease retries the queue in FIFO order. The absolute
+// deadline stays anchored at the original arrival, so waiting consumes the
+// task's own slack. `Gate` says whether a decrease can change the front
+// waiter's test at all; a decrease it rules out costs no evaluation.
+template <class Controller, class Spec, class Gate>
+class WaitingAdmission {
  public:
+  // Decision callback: receives the full decision. decision.arrival is the
+  // task's original arrival (its deadline stays anchored there) and
+  // decision.decided_at the simulation instant of the decision (arrival +
+  // waiting). A task that waits out its patience is reported with
+  // reason == Reason::kTimedOut and the LHS pair of its last failed test.
   using DecisionCallback =
-      std::function<void(const GraphTaskSpec&, const AdmissionDecision&)>;
+      std::function<void(const Spec&, const AdmissionDecision&)>;
 
-  WaitingGraphAdmissionController(sim::Simulator& sim,
-                                  GraphAdmissionController& inner,
-                                  Duration patience);
+  WaitingAdmission(sim::Simulator& sim, Controller& inner, Duration patience);
 
   // Call once; the controller hooks the tracker's decrease notifications.
   // Any previously installed on-decrease callback is replaced.
@@ -409,30 +315,29 @@ class WaitingGraphAdmissionController {
 
   // Submits an arrival at the current time. May decide synchronously (fits
   // now, or patience == 0) or later.
-  void submit(const GraphTaskSpec& spec);
+  void submit(const Spec& spec);
 
-  std::size_t pending() const { return queue_.size(); }
-  std::uint64_t timed_out() const { return timed_out_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::uint64_t timed_out() const { return timed_out_; }
 
-  // Decrease notifications short-circuited by the headroom gate (no
-  // evaluator invocation).
-  std::uint64_t gate_skips() const { return gate_skips_; }
+  // Decrease notifications the gate short-circuited (no evaluation).
+  [[nodiscard]] std::uint64_t gate_skips() const { return gate_skips_; }
 
-  // Decreases that arrived while a retry scan was running (scan re-armed).
-  std::uint64_t rearmed_retries() const { return rearmed_retries_; }
+  // Times a decrease arrived while a retry scan was already running and the
+  // scan was re-armed to run again (observability for the cascade case).
+  [[nodiscard]] std::uint64_t rearmed_retries() const {
+    return rearmed_retries_;
+  }
 
  private:
   struct Pending {
-    GraphTaskSpec spec;
+    Spec spec;
     Time arrival;
     AdmissionDecision last_test;  // most recent failed admission attempt
-    sim::EventId timeout_event;
-    std::vector<std::uint32_t> touched;  // resources, ascending
-    std::vector<double> gate_f;  // cached f-terms at the last failed test
+    sim::EventId timeout_event = sim::kInvalidEventId;
+    Gate gate;
   };
 
-  void snapshot_gate(Pending& p) const;
-  [[nodiscard]] bool gate_changed(const Pending& p) const;
   void on_decrease();
   void retry();
   void timeout(std::uint64_t task_id);
@@ -440,8 +345,7 @@ class WaitingGraphAdmissionController {
   AdmissionDecision timed_out_decision(const Pending& p) const;
 
   sim::Simulator& sim_;
-  GraphAdmissionController& inner_;
-  SyntheticUtilizationTracker& tracker_;
+  Controller& inner_;
   Duration patience_;
   std::deque<Pending> queue_;
   DecisionCallback decide_;
@@ -451,5 +355,40 @@ class WaitingGraphAdmissionController {
   bool rearm_ = false;  // decrease observed mid-retry: scan again
   std::uint64_t rearmed_retries_ = 0;
 };
+
+// Pipeline waiting retries on every decrease: the region LHS sums f(U_j)
+// over every stage, so a decrease anywhere can change the front's test.
+struct NoGate {
+  void snapshot(const TaskSpec&, const SyntheticUtilizationTracker&) {}
+  [[nodiscard]] bool changed(const SyntheticUtilizationTracker&) const {
+    return true;
+  }
+};
+
+// The headroom gate of DAG waiting: a parked task keeps the tracker's cached
+// f-terms over the resources it touches, as of its last failed test, and a
+// decrease re-runs its evaluation only when one of them changed. Both graph
+// bounds read only the touched resources, and f is strictly increasing in
+// U, so equal f-terms mean the failed test would repeat verbatim — the gate
+// can never strand an admissible waiter.
+class HeadroomGate {
+ public:
+  void snapshot(const GraphTaskSpec& spec,
+                const SyntheticUtilizationTracker& tracker);
+  [[nodiscard]] bool changed(const SyntheticUtilizationTracker& tracker) const;
+
+ private:
+  std::vector<std::uint32_t> touched_;  // resources, ascending
+  std::vector<double> f_;               // f-terms at the last failed test
+};
+
+using WaitingAdmissionController =
+    WaitingAdmission<AdmissionController, TaskSpec, NoGate>;
+using WaitingGraphAdmissionController =
+    WaitingAdmission<GraphAdmissionController, GraphTaskSpec, HeadroomGate>;
+
+extern template class WaitingAdmission<AdmissionController, TaskSpec, NoGate>;
+extern template class WaitingAdmission<GraphAdmissionController,
+                                       GraphTaskSpec, HeadroomGate>;
 
 }  // namespace frap::core

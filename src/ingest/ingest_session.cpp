@@ -69,92 +69,55 @@ const core::TaskSpec& IngestSession::assemble(const WireArrival& a) {
   return spec_;
 }
 
-// frap:contract(hotpath)
-void IngestSession::assemble_into(core::TaskSpec& out,
-                                  const WireArrival& a) const {
-  FRAP_ASSERT(out.stages.size() == num_stages_);
-  out.id = a.id();
-  out.deadline = a.deadline();
-  out.importance = a.importance();
-  if (a.kind() == RecordKind::kClass) {
-    const auto& stages = classes_.stages_of(a.class_id());
-    for (std::size_t j = 0; j < num_stages_; ++j) out.stages[j] = stages[j];
-    return;
+template <class Decide>
+IngestStats IngestSession::decide_each(
+    const WireView& view, std::vector<core::AdmissionDecision>* decisions,
+    Decide&& decide) {
+  IngestStats st;
+  if (const WireParse p = check(view); !p.ok()) {
+    st.error = p.error;
+    return st;
   }
-  for (auto& s : out.stages) s.compute = 0;
-  const std::uint16_t pairs = a.pair_count();
-  for (std::uint16_t i = 0; i < pairs; ++i)
-    out.stages[a.stage(i)].compute = a.demand(i);
+  WireArrival a;
+  for (auto cur = view.cursor(); cur.next(a);) {
+    const core::AdmissionDecision d = decide(a);
+    ++st.records;
+    d.admitted ? ++st.admitted : ++st.rejected;
+    if (decisions != nullptr) decisions->push_back(d);
+  }
+  return st;
 }
 
 IngestStats IngestSession::replay(
     const WireView& view, core::AdmissionController& ctl, sim::Simulator& sim,
     std::vector<core::AdmissionDecision>* decisions,
     std::optional<Time> rebase) {
-  IngestStats st;
-  if (const WireParse p = check(view); !p.ok()) {
-    st.error = p.error;
-    return st;
-  }
   const Duration shift = rebase ? *rebase - view.base_time() : 0.0;
-  WireArrival a;
-  for (auto cur = view.cursor(); cur.next(a);) {
+  return decide_each(view, decisions, [&](const WireArrival& a) {
     const Time t = rebase ? a.arrival() + shift : a.arrival();
     sim.run_until(t);
-    const core::AdmissionDecision d = ctl.try_admit(assemble(a), t);
-    ++st.records;
-    d.admitted ? ++st.admitted : ++st.rejected;
-    if (decisions != nullptr) decisions->push_back(d);
-  }
-  return st;
+    return ctl.try_admit(assemble(a), t);
+  });
 }
 
 IngestStats IngestSession::admit_burst(
-    const WireView& view, core::BatchAdmissionController& batch,
+    const WireView& view, core::AdmissionController& ctl,
     std::vector<core::AdmissionDecision>* decisions) {
-  IngestStats st;
-  if (const WireParse p = check(view); !p.ok()) {
-    st.error = p.error;
-    return st;
-  }
-  if (burst_.size() < view.record_count()) {
-    const std::size_t old = burst_.size();
-    burst_.resize(view.record_count());
-    for (std::size_t i = old; i < burst_.size(); ++i)
-      burst_[i].stages.resize(num_stages_);
-  }
-  std::size_t i = 0;
-  WireArrival a;
-  for (auto cur = view.cursor(); cur.next(a);) assemble_into(burst_[i++], a);
-  const auto& ds = batch.try_admit_burst(
-      std::span<const core::TaskSpec>(burst_.data(), i));
-  for (const auto& d : ds) {
-    ++st.records;
-    d.admitted ? ++st.admitted : ++st.rejected;
-    if (decisions != nullptr) decisions->push_back(d);
-  }
-  return st;
+  const Time now = ctl.now();
+  return decide_each(view, decisions, [&](const WireArrival& a) {
+    return ctl.try_admit(assemble(a), now);
+  });
 }
 
 IngestStats IngestSession::admit(
     const WireView& view, service::ShardedAdmissionService& svc,
     std::vector<core::AdmissionDecision>* decisions,
     std::optional<Time> rebase) {
-  IngestStats st;
-  if (const WireParse p = check(view); !p.ok()) {
-    st.error = p.error;
-    return st;
-  }
   const Duration shift = rebase ? *rebase - view.base_time() : 0.0;
-  WireArrival a;
-  for (auto cur = view.cursor(); cur.next(a);) {
+  return decide_each(view, decisions, [&](const WireArrival& a) {
     const Time t = rebase ? a.arrival() + shift : a.arrival();
-    const core::AdmissionDecision d = svc.try_admit(assemble(a), t);
-    ++st.records;
-    d.admitted ? ++st.admitted : ++st.rejected;
-    if (decisions != nullptr) decisions->push_back(d);
-  }
-  return st;
+    return svc.try_admit(assemble(a), t);
+  });
 }
 
 }  // namespace frap::ingest

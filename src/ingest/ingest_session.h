@@ -5,8 +5,7 @@
 // WireArrival views to the TaskSpec-shaped Admitter API: one inline-record
 // scratch spec (stages sized once, only previously-touched entries cleared
 // between records), one prebuilt template spec per registered task class
-// (id/deadline/importance patched per arrival), and a burst buffer of
-// assembled specs for BatchAdmissionController. After the first frame of a
+// (id/deadline/importance patched per arrival). After the first frame of a
 // given size every decode-and-admit cycle performs ZERO heap allocations —
 // pinned by the operator-new hook in tests/alloc_steady_state_test.cpp.
 //
@@ -93,9 +92,10 @@ class IngestSession {
                      std::optional<Time> rebase = std::nullopt);
 
   // Decides the whole frame as one burst at the controller's current
-  // instant (arrival instants on the wire are ignored; burst semantics).
+  // instant (arrival instants on the wire are ignored; burst semantics):
+  // each record in order through ctl.try_admit(spec, ctl.now()).
   IngestStats admit_burst(
-      const WireView& view, core::BatchAdmissionController& batch,
+      const WireView& view, core::AdmissionController& ctl,
       std::vector<core::AdmissionDecision>* decisions = nullptr);
 
   // Decodes and admits against the sharded service, presenting each
@@ -106,16 +106,19 @@ class IngestSession {
                     std::optional<Time> rebase = std::nullopt);
 
  private:
-  // Writes the full-width spec for `a` into `out` (burst slots).
-  // frap:contract(hotpath)
-  void assemble_into(core::TaskSpec& out, const WireArrival& a) const;
+  // Checks the frame, then decides each record in order with
+  // decide(const WireArrival&) and tallies (and optionally collects) the
+  // decisions.
+  template <class Decide>
+  IngestStats decide_each(const WireView& view,
+                          std::vector<core::AdmissionDecision>* decisions,
+                          Decide&& decide);
 
   std::size_t num_stages_;
   TaskClassTable classes_;
   core::TaskSpec spec_;                      // inline-record scratch
   std::vector<std::uint32_t> touched_;       // stages set in spec_
   std::vector<core::TaskSpec> class_specs_;  // per-class templates
-  std::vector<core::TaskSpec> burst_;        // assembled burst scratch
 };
 
 }  // namespace frap::ingest

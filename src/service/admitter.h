@@ -1,19 +1,19 @@
 // The unified admission interface.
 //
-// Every admission strategy in the repo — the paper's exact test
-// (core::AdmissionController), batch, shedding and graph admission, and the
-// sharded concurrent service (service::ShardedAdmissionService) — implements
-// this one-method interface with the canonical signature
+// Every immediate-decision admission strategy in the repo — the paper's
+// exact test (core::AdmissionController), shedding, graph and
+// deadline-split admission, and the sharded concurrent service
+// (service::ShardedAdmissionService) — implements this one-method interface
+// with the canonical signature
 //
 //   [[nodiscard]] AdmissionDecision try_admit(const TaskSpec& spec, Time now)
 //
 // where `now` is the task's arrival instant: the implementation anchors the
 // admitted task's absolute deadline at now + spec.deadline and fills the
-// decision's arrival/decided_at fields from it. Callers that used the old
-// per-class entry points (bare try_admit(spec), the absolute-deadline
-// overload, reference paths) should migrate to this signature; the
-// remaining one-argument overloads are thin shims that forward
-// sim.now() as the arrival.
+// decision's arrival/decided_at fields from it. A burst is a sequence of
+// try_admit calls at one instant. Waiting admission (core::WaitingAdmission)
+// decides later, through a callback, so it wraps a controller instead of
+// implementing this interface.
 //
 // Header-only on purpose: the interface lives in src/service/ but depends
 // only on the core vocabulary types, so src/core can implement it without

@@ -1,9 +1,9 @@
 // The incremental allocation-free admission fast path must be
 // indistinguishable from the seed full-evaluation path: identical decisions
 // over long randomized arrival histories (the PR's acceptance criterion),
-// identical boundary-tie behaviour, and a batch path identical to
-// sequential admissions. Also exercises the tracker's incremental-LHS
-// cross-check and rebuild counters under the same histories.
+// and identical boundary-tie behaviour. Also exercises the tracker's
+// incremental-LHS cross-check and rebuild counters under the same
+// histories.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,7 @@
 
 #include "core/admission.h"
 #include "core/feasible_region.h"
-#include "core/reference_admitter.h"
+#include "oracle/reference_admitter.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "sim/simulator.h"
@@ -122,39 +122,6 @@ TEST(AdmissionFastPathTest, ApproximateMeansVariantMatchesReference) {
     EXPECT_EQ(df.admitted, dr.admitted) << "arrival " << i;
   }
   fast.tracker.verify_lhs_cache(1e-9);
-}
-
-TEST(AdmissionFastPathTest, BatchDecisionsMatchSequentialFastPath) {
-  constexpr std::size_t kStages = 4;
-  Harness seq(kStages);
-  Harness bat(kStages);
-  BatchAdmissionController batch(bat.controller);
-
-  util::Rng rng(7);
-  std::uint64_t id = 1;
-  for (int burst = 0; burst < 200; ++burst) {
-    std::vector<TaskSpec> specs;
-    const int size = rng.uniform_int(1, 32);
-    for (int i = 0; i < size; ++i) {
-      specs.push_back(random_task(rng, id++, kStages));
-    }
-    const Time t = seq.sim.now() + rng.exponential(0.05);
-    seq.sim.run_until(t);
-    bat.sim.run_until(t);
-
-    const auto& decisions = batch.try_admit_burst(specs);
-    ASSERT_EQ(decisions.size(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto d = seq.controller.try_admit(specs[i], seq.sim.now());
-      EXPECT_EQ(decisions[i].admitted, d.admitted)
-          << "burst " << burst << " index " << i;
-      EXPECT_DOUBLE_EQ(decisions[i].lhs_with_task, d.lhs_with_task);
-    }
-  }
-  EXPECT_EQ(batch.bursts(), 200u);
-  EXPECT_EQ(bat.controller.attempts(), seq.controller.attempts());
-  EXPECT_EQ(bat.controller.admitted(), seq.controller.admitted());
-  bat.tracker.verify_lhs_cache(1e-9);
 }
 
 TEST(AdmissionFastPathTest, RejectionsLeaveNoTrace) {

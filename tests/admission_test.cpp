@@ -294,6 +294,45 @@ TEST_F(WaitingTest, DecreaseDuringRetryRearmsAndAdmitsCascade) {
   EXPECT_GE(waiting.rearmed_retries(), 1u);
 }
 
+// A timed-out front waiter must promote the next waiter AND retest it at
+// the timeout instant: FIFO queues the newcomer behind the front without
+// testing it, and no decrease event accompanies the promotion, so without
+// the retest an admissible task would be stranded until the next decrease
+// (here: until its own timeout). Mirrors
+// WaitingGraphAdmissionTest.TimeoutPromotesAndRetestsNextWaiter.
+TEST_F(WaitingTest, TimeoutPromotesAndRetestsNextWaiter) {
+  WaitingAdmissionController waiting(sim_, controller_, 2.0);
+  waiting.attach();
+  std::vector<std::pair<std::uint64_t, AdmissionDecision>> decisions;
+  waiting.set_decision_callback(
+      [&](const TaskSpec& s, const AdmissionDecision& d) {
+        decisions.emplace_back(s.id, d);
+      });
+
+  // Blocker: u = (0.2, 0.2) until t = 10.
+  ASSERT_TRUE(controller_.try_admit(make_task(1, 10.0, {2.0, 2.0}),
+                                    sim_.now()).admitted);
+  waiting.submit(make_task(2, 10.0, {3.0, 3.0}));  // (0.5, 0.5): parked
+  const TaskSpec small = make_task(3, 10.0, {0.5, 0.5});
+  ASSERT_TRUE(controller_.test(small));  // fits, but queues behind task 2
+  waiting.submit(small);
+  ASSERT_EQ(waiting.pending(), 2u);
+  ASSERT_EQ(controller_.attempts(), 2u);  // the queued submit did not test
+
+  sim_.run_until(3.0);  // waiter 2 times out at t = 2
+  ASSERT_EQ(decisions.size(), 2u);
+  EXPECT_EQ(decisions[0].first, 2u);
+  EXPECT_FALSE(decisions[0].second.admitted);
+  EXPECT_EQ(decisions[0].second.reason, AdmissionDecision::Reason::kTimedOut);
+  // Promotion retested waiter 3 at the timeout instant and admitted it.
+  EXPECT_EQ(decisions[1].first, 3u);
+  EXPECT_TRUE(decisions[1].second.admitted);
+  EXPECT_DOUBLE_EQ(decisions[1].second.decided_at, 2.0);
+  EXPECT_EQ(controller_.attempts(), 3u);
+  EXPECT_EQ(waiting.pending(), 0u);
+  EXPECT_EQ(waiting.timed_out(), 1u);
+}
+
 // ---------------------------------------------------------- shedding -----
 
 class SheddingTest : public AdmissionTest {};

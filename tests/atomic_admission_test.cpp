@@ -28,7 +28,7 @@
 #include "core/admission_decision.h"
 #include "core/feasible_region.h"
 #include "core/fixed_point.h"
-#include "core/reference_admitter.h"
+#include "oracle/reference_admitter.h"
 #include "core/stage_delay.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"

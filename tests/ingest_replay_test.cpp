@@ -158,20 +158,19 @@ TEST(IngestReplay, BurstAdmissionMatchesInProcessBurst) {
 
   // In-process burst over materialized specs.
   ControllerRig rig_a(trace.num_stages());
-  core::BatchAdmissionController batch_a(rig_a.controller);
-  std::vector<core::TaskSpec> specs;
-  for (const auto& r : trace.records()) specs.push_back(r.task);
-  const auto& expected = batch_a.try_admit_burst(specs);
+  std::vector<AdmissionDecision> expected;
+  for (const auto& r : trace.records())
+    expected.push_back(
+        rig_a.controller.try_admit(r.task, rig_a.controller.now()));
 
   // Wire burst.
   ingest::WireEncoder enc(trace.num_stages());
   const auto view = ingest::WireView::open(ingest::encode_trace(trace, enc));
   ASSERT_TRUE(view.valid());
   ControllerRig rig_b(trace.num_stages());
-  core::BatchAdmissionController batch_b(rig_b.controller);
   ingest::IngestSession session(trace.num_stages());
   std::vector<AdmissionDecision> actual;
-  const auto st = session.admit_burst(view, batch_b, &actual);
+  const auto st = session.admit_burst(view, rig_b.controller, &actual);
   ASSERT_TRUE(st.ok());
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)

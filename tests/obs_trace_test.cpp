@@ -34,7 +34,6 @@ namespace {
 using core::AdmissionController;
 using core::AdmissionAudit;
 using core::AdmissionDecision;
-using core::BatchAdmissionController;
 using core::FeasibleRegion;
 using core::SyntheticUtilizationTracker;
 using core::TaskSpec;
@@ -430,56 +429,6 @@ TEST(ObsDifferentialTest, TracingNeverChangesADecisionOver12kArrivals) {
   EXPECT_EQ(snap.decisions_by_reason[static_cast<std::size_t>(
                 AdmissionDecision::Reason::kAdmitted)],
             admitted);
-}
-
-TEST(ObsDifferentialTest, TracedBatchMatchesTracedSequential) {
-  constexpr std::size_t kStages = 4;
-  Harness seq(kStages);
-  Harness bat(kStages);
-  ManualClock clock;
-  SinkConfig cfg;
-  cfg.ring_capacity = std::size_t{1} << 14;
-  Observer seq_obs(1, cfg, &clock);
-  Observer bat_obs(1, cfg, &clock);
-  seq.controller.set_sink(&seq_obs.sink(0));
-  bat.controller.set_sink(&bat_obs.sink(0));
-  BatchAdmissionController batch(bat.controller);
-
-  util::Rng rng(7);
-  std::uint64_t id = 1;
-  std::uint64_t total = 0;
-  for (int burst = 0; burst < 100; ++burst) {
-    std::vector<TaskSpec> specs;
-    const int size = rng.uniform_int(1, 32);
-    for (int i = 0; i < size; ++i) {
-      specs.push_back(random_task(rng, id++, kStages));
-    }
-    total += specs.size();
-    const Time t = seq.sim.now() + rng.exponential(0.05);
-    seq.sim.run_until(t);
-    bat.sim.run_until(t);
-
-    const auto& decisions = batch.try_admit_burst(specs);
-    ASSERT_EQ(decisions.size(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto d = seq.controller.try_admit(specs[i], seq.sim.now());
-      EXPECT_EQ(decisions[i].admitted, d.admitted)
-          << "burst " << burst << " index " << i;
-      EXPECT_DOUBLE_EQ(decisions[i].lhs_with_task, d.lhs_with_task);
-    }
-  }
-  // Both paths traced every attempt, event for event.
-  EXPECT_EQ(seq_obs.sink(0).ring().pushed(), total);
-  EXPECT_EQ(bat_obs.sink(0).ring().pushed(), total);
-  const auto se = seq_obs.sink(0).ring().snapshot();
-  const auto be = bat_obs.sink(0).ring().snapshot();
-  ASSERT_EQ(se.size(), be.size());
-  for (std::size_t i = 0; i < se.size(); ++i) {
-    EXPECT_EQ(se[i].task_id, be[i].task_id);
-    EXPECT_EQ(se[i].admitted, be[i].admitted);
-    EXPECT_EQ(se[i].touched, be[i].touched);
-    EXPECT_DOUBLE_EQ(se[i].lhs_with_task, be[i].lhs_with_task);
-  }
 }
 
 TEST(ObsDifferentialTest, ObserverTraceMergesSinksInDecidedAtOrder) {

@@ -8,7 +8,7 @@
 
 #include "core/admission.h"
 #include "core/feasible_region.h"
-#include "core/reference_admitter.h"
+#include "oracle/reference_admitter.h"
 #include "core/synthetic_utilization.h"
 #include "core/task.h"
 #include "service/quota.h"
